@@ -227,6 +227,51 @@ func BenchmarkVictimPolicy(b *testing.B) {
 	}
 }
 
+// BenchmarkStreamNext is the workload layer alone: one synthetic address
+// draw, the part of every trace access that precedes the cache model.
+func BenchmarkStreamNext(b *testing.B) {
+	st := workload.MustByName("bzip2").NewStream(7, 0)
+	var a cache.Addr
+	for i := 0; i < b.N; i++ {
+		a = st.Next()
+	}
+	benchAddrSink = a
+}
+
+var benchAddrSink cache.Addr
+
+// BenchmarkAblationPartitionPair is the cache layer of ablation-partition
+// alone: the experiment's two-owner loop (bzip2 against a co-runner,
+// both reserved at 7 of 16 ways) over addresses drawn before the timer
+// starts, so stream draws are not measured. One op is one access pair;
+// ns/access is the figure the per-layer trace reports as
+// cache.partitioned_access_ns.
+func BenchmarkAblationPartitionPair(b *testing.B) {
+	const pairs = 1 << 17
+	job := workload.MustByName("bzip2").NewStream(7, 0)
+	co := workload.MustByName("milc").NewStream(1, 1)
+	addrs := make([]cache.Addr, 2*pairs)
+	for i := 0; i < pairs; i++ {
+		addrs[2*i], addrs[2*i+1] = job.Next(), co.Next()
+	}
+	c := cache.NewPartitioned(cache.PaperL2())
+	for owner := 0; owner < 2; owner++ {
+		c.SetTarget(owner, 7)
+		c.SetClass(owner, cache.ClassReserved)
+	}
+	for i := 0; i < pairs; i++ { // warm the cache as the experiment does
+		c.Access(0, addrs[2*i])
+		c.Access(1, addrs[2*i+1])
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := 2 * (i & (pairs - 1))
+		c.Access(0, addrs[k])
+		c.Access(1, addrs[k+1])
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*b.N), "ns/access")
+}
+
 // ---- Miss-curve profiler benches ----
 //
 // One 16-way curve at the paper L2 geometry, 50k warmup + 50k measured

@@ -67,6 +67,14 @@ func (c Config) Validate() error {
 	if c.Owners <= 0 {
 		return fmt.Errorf("cache: need at least one owner")
 	}
+	// Victim rules select owners by a 64-bit mask, and each set keeps its
+	// recency order one byte per way.
+	if c.Owners > 64 {
+		return fmt.Errorf("cache: %d owners exceed the limit of 64", c.Owners)
+	}
+	if c.Ways > 256 {
+		return fmt.Errorf("cache: associativity %d exceeds the limit of 256", c.Ways)
+	}
 	if c.BlockSize&(c.BlockSize-1) != 0 {
 		return fmt.Errorf("cache: block size %d is not a power of two", c.BlockSize)
 	}
@@ -76,6 +84,11 @@ func (c Config) Validate() error {
 	sets := c.Sets()
 	if sets&(sets-1) != 0 {
 		return fmt.Errorf("cache: set count %d is not a power of two", sets)
+	}
+	// A tag must drop at least one address bit, or the all-ones address
+	// would collide with the empty-way sentinel.
+	if sets*c.BlockSize < 2 {
+		return fmt.Errorf("cache: geometry %+v maps whole addresses to tags", c)
 	}
 	return nil
 }
@@ -114,23 +127,31 @@ type Interface interface {
 	ResetStats()
 }
 
-// line is one cache line's bookkeeping state. The tag itself lives in
-// the dense per-set tag array (baseCache.tags) so the lookup scan —
-// the hottest loop in the trace engine — touches two cache lines per
-// 16-way set instead of six.
-type line struct {
-	stamp uint64 // LRU stamp; larger = more recently used
-	owner int8
-	valid bool
-	dirty bool
-}
+// invalidTag marks an empty way. Tags are addresses shifted right by at
+// least one bit (Validate guarantees tagShift >= 1), so no resident
+// block's tag can equal it and lookup needs no separate valid bit.
+const invalidTag = ^uint64(0)
 
-// baseCache holds the storage shared by every cache model.
+// allOwners is the owner mask that admits every owner.
+const allOwners = ^uint64(0)
+
+// baseCache holds the storage shared by every cache model. Per-way state
+// lives in flat arrays indexed set*ways+way, so the lookup scan — the
+// hottest loop in the trace engine — is a compare over one set's
+// contiguous tags.
+//
+// LRU state is a per-set recency order rather than per-line stamps:
+// order[set*ways : (set+1)*ways] lists the set's ways from least to most
+// recently used. touch and install move a way to the MRU end, so among
+// the valid ways the order is exactly the order of the stamps a global
+// clock would have handed out; an invalidated way keeps its place and is
+// skipped by every walk until install moves it to the MRU end again.
 type baseCache struct {
 	cfg        Config
-	sets       [][]line
-	tags       [][]uint64 // tags[set][way], parallel to sets
-	clock      uint64     // global LRU stamp source
+	tags       []uint64 // tags[set*ways+way]; invalidTag when empty
+	owner      []uint8  // owner[set*ways+way], meaningful when valid
+	dirty      []bool   // dirty[set*ways+way]
+	order      []uint8  // per set, ways listed LRU→MRU
 	setShift   uint
 	tagShift   uint // precomputed setShift + log2(sets); see index
 	setMask    uint64
@@ -138,11 +159,11 @@ type baseCache struct {
 	ownerMiss  []int64
 	totalAcc   int64
 	totalMiss  int64
-	occupancy  [][]int16 // occupancy[set][owner]: valid blocks owned per set
-	globalOcc  []int64   // blocks owned per owner across all sets
-	freeInSet  []int16   // invalid lines per set
-	freeHint   []int16   // per set: every way below the hint is valid
-	writeBacks int64     // dirty evictions (write-back transfers)
+	occupancy  []int16 // occupancy[set*owners+owner]: valid blocks owned per set
+	globalOcc  []int64 // blocks owned per owner across all sets
+	freeInSet  []int16 // invalid lines per set
+	freeHint   []int16 // per set: every way below the hint is valid
+	writeBacks int64   // dirty evictions (write-back transfers)
 }
 
 func newBase(cfg Config) *baseCache {
@@ -152,28 +173,40 @@ func newBase(cfg Config) *baseCache {
 	sets := cfg.Sets()
 	b := &baseCache{
 		cfg:       cfg,
-		sets:      make([][]line, sets),
-		tags:      make([][]uint64, sets),
+		tags:      make([]uint64, sets*cfg.Ways),
+		owner:     make([]uint8, sets*cfg.Ways),
+		dirty:     make([]bool, sets*cfg.Ways),
+		order:     make([]uint8, sets*cfg.Ways),
 		setShift:  uint(bits.TrailingZeros(uint(cfg.BlockSize))),
 		tagShift:  uint(bits.TrailingZeros(uint(cfg.BlockSize))) + uint(bits.TrailingZeros(uint(sets))),
 		setMask:   uint64(sets - 1),
 		ownerAcc:  make([]int64, cfg.Owners),
 		ownerMiss: make([]int64, cfg.Owners),
-		occupancy: make([][]int16, sets),
+		occupancy: make([]int16, sets*cfg.Owners),
 		globalOcc: make([]int64, cfg.Owners),
 		freeInSet: make([]int16, sets),
 		freeHint:  make([]int16, sets),
 	}
-	lines := make([]line, sets*cfg.Ways)
-	tags := make([]uint64, sets*cfg.Ways)
-	occ := make([]int16, sets*cfg.Owners)
-	for s := 0; s < sets; s++ {
-		b.sets[s] = lines[s*cfg.Ways : (s+1)*cfg.Ways : (s+1)*cfg.Ways]
-		b.tags[s] = tags[s*cfg.Ways : (s+1)*cfg.Ways : (s+1)*cfg.Ways]
-		b.occupancy[s] = occ[s*cfg.Owners : (s+1)*cfg.Owners : (s+1)*cfg.Owners]
-		b.freeInSet[s] = int16(cfg.Ways)
-	}
+	b.clear()
 	return b
+}
+
+// clear empties the cache and zeroes every counter, in place.
+func (b *baseCache) clear() {
+	for i := range b.tags {
+		b.tags[i] = invalidTag
+		b.owner[i] = 0
+		b.dirty[i] = false
+		b.order[i] = uint8(i % b.cfg.Ways)
+	}
+	for s := range b.freeInSet {
+		b.freeInSet[s] = int16(b.cfg.Ways)
+		b.freeHint[s] = 0
+	}
+	clear(b.occupancy)
+	clear(b.globalOcc)
+	b.ResetStats()
+	b.writeBacks = 0
 }
 
 // index splits an address into set index and tag.
@@ -184,19 +217,29 @@ func (b *baseCache) index(addr Addr) (set int, tag uint64) {
 
 // lookup finds the way holding (set, tag), or -1.
 func (b *baseCache) lookup(set int, tag uint64) int {
-	lines := b.sets[set]
-	for w, t := range b.tags[set] {
-		if t == tag && lines[w].valid {
+	base := set * b.cfg.Ways
+	for w, t := range b.tags[base : base+b.cfg.Ways] {
+		if t == tag {
 			return w
 		}
 	}
 	return -1
 }
 
-// touch refreshes the LRU stamp of a way.
+// touch makes way the set's most recently used. It walks from the MRU
+// end, shifting each more recent way down one place, until it reaches
+// way's old position: the cost is way's distance from the MRU end, and
+// a repeated hit on the MRU way costs one compare.
 func (b *baseCache) touch(set, way int) {
-	b.clock++
-	b.sets[set][way].stamp = b.clock
+	ord := b.order[set*b.cfg.Ways : (set+1)*b.cfg.Ways]
+	w := uint8(way)
+	p := len(ord) - 1
+	carry := ord[p]
+	ord[p] = w
+	for carry != w {
+		p--
+		carry, ord[p] = ord[p], carry
+	}
 }
 
 // freeWay returns the lowest-index invalid way in the set, or -1. The
@@ -208,9 +251,9 @@ func (b *baseCache) freeWay(set int) int {
 	if b.freeInSet[set] == 0 {
 		return -1
 	}
-	lines := b.sets[set]
-	for w := int(b.freeHint[set]); w < len(lines); w++ {
-		if !lines[w].valid {
+	base := set * b.cfg.Ways
+	for w := int(b.freeHint[set]); w < b.cfg.Ways; w++ {
+		if b.tags[base+w] == invalidTag {
 			b.freeHint[set] = int16(w)
 			return w
 		}
@@ -218,62 +261,59 @@ func (b *baseCache) freeWay(set int) int {
 	return -1
 }
 
-// lruWay returns the least-recently-used way among those for which keep
-// returns true, or -1 when no way qualifies. A nil keep considers all
-// valid ways.
-func (b *baseCache) lruWay(set int, keep func(line) bool) int {
-	best := -1
-	var bestStamp uint64
-	for w, ln := range b.sets[set] {
-		if !ln.valid {
-			continue
-		}
-		if keep != nil && !keep(ln) {
-			continue
-		}
-		if best == -1 || ln.stamp < bestStamp {
-			best = w
-			bestStamp = ln.stamp
+// lruAmong returns the least-recently-used valid way whose owner is in
+// the owners bit mask, or -1 when no way qualifies. It walks the set's
+// recency order from the LRU end and stops at the first match, so every
+// victim rule is one mask plus a walk that usually ends within a few
+// ways; an empty mask costs nothing.
+func (b *baseCache) lruAmong(set int, owners uint64) int {
+	if owners == 0 {
+		return -1
+	}
+	base := set * b.cfg.Ways
+	for _, w := range b.order[base : base+b.cfg.Ways] {
+		i := base + int(w)
+		if b.tags[i] != invalidTag && owners>>b.owner[i]&1 != 0 {
+			return int(w)
 		}
 	}
-	return best
+	return -1
 }
 
 // install places (tag, owner) into way, updating occupancy bookkeeping,
 // and returns the previous owner (or -1), whether a valid block was
 // displaced, and whether the displaced block was dirty (write-back).
 func (b *baseCache) install(set, way int, tag uint64, owner int) (victimOwner int, evicted, writeBack bool) {
-	ln := &b.sets[set][way]
+	i := set*b.cfg.Ways + way
 	victimOwner = -1
-	if ln.valid {
-		victimOwner = int(ln.owner)
+	if b.tags[i] != invalidTag {
+		old := int(b.owner[i])
+		victimOwner = old
 		evicted = true
-		writeBack = ln.dirty
-		if ln.dirty {
+		writeBack = b.dirty[i]
+		if writeBack {
 			b.writeBacks++
 		}
-		b.occupancy[set][ln.owner]--
-		b.globalOcc[ln.owner]--
+		b.occupancy[set*b.cfg.Owners+old]--
+		b.globalOcc[old]--
 	} else {
 		b.freeInSet[set]--
 		if int(b.freeHint[set]) == way {
 			b.freeHint[set]++
 		}
 	}
-	b.tags[set][way] = tag
-	ln.owner = int8(owner)
-	ln.valid = true
-	ln.dirty = false
-	b.occupancy[set][owner]++
+	b.tags[i] = tag
+	b.owner[i] = uint8(owner)
+	b.dirty[i] = false
+	b.occupancy[set*b.cfg.Owners+owner]++
 	b.globalOcc[owner]++
-	b.clock++
-	ln.stamp = b.clock
+	b.touch(set, way)
 	return victimOwner, evicted, writeBack
 }
 
 // markDirty sets a resident way's dirty bit (a write hit or a write
 // fill under write-allocate).
-func (b *baseCache) markDirty(set, way int) { b.sets[set][way].dirty = true }
+func (b *baseCache) markDirty(set, way int) { b.dirty[set*b.cfg.Ways+way] = true }
 
 // WriteBacks returns the lifetime count of dirty evictions.
 func (b *baseCache) WriteBacks() int64 { return b.writeBacks }
@@ -312,23 +352,25 @@ func (b *baseCache) ResetOwnerStats(owner int) {
 // OS issues this when a job leaves a core (context-switch realism) or
 // completes.
 func (b *baseCache) Flush(owner int) (blocks, writeBacks int64) {
-	for s := range b.sets {
-		for w := range b.sets[s] {
-			ln := &b.sets[s][w]
-			if !ln.valid || int(ln.owner) != owner {
+	o := uint8(owner)
+	for set := range b.freeInSet {
+		base := set * b.cfg.Ways
+		for w, t := range b.tags[base : base+b.cfg.Ways] {
+			i := base + w
+			if t == invalidTag || b.owner[i] != o {
 				continue
 			}
 			blocks++
-			if ln.dirty {
+			if b.dirty[i] {
 				writeBacks++
 				b.writeBacks++
 			}
-			ln.valid = false
-			ln.dirty = false
-			b.occupancy[s][owner]--
-			b.freeInSet[s]++
-			if int16(w) < b.freeHint[s] {
-				b.freeHint[s] = int16(w)
+			b.tags[i] = invalidTag
+			b.dirty[i] = false
+			b.occupancy[set*b.cfg.Owners+owner]--
+			b.freeInSet[set]++
+			if int16(w) < b.freeHint[set] {
+				b.freeHint[set] = int16(w)
 			}
 		}
 	}
@@ -357,8 +399,14 @@ func (b *baseCache) MissRatio(owner int) float64 {
 // Occupancy returns the number of valid blocks owned by owner.
 func (b *baseCache) Occupancy(owner int) int64 { return b.globalOcc[owner] }
 
+// SetOccupancy returns owner's valid-block count within one set; it is
+// exported for tests and the convergence diagnostics.
+func (b *baseCache) SetOccupancy(set, owner int) int {
+	return int(b.occupancy[set*b.cfg.Owners+owner])
+}
+
 // Sets returns the number of sets.
-func (b *baseCache) Sets() int { return len(b.sets) }
+func (b *baseCache) Sets() int { return len(b.freeInSet) }
 
 // Config returns the cache geometry.
 func (b *baseCache) Config() Config { return b.cfg }
@@ -397,7 +445,7 @@ func (c *LRU) access(owner int, addr Addr, write bool) Result {
 	c.record(owner, true)
 	w := c.freeWay(set)
 	if w < 0 {
-		w = c.lruWay(set, nil)
+		w = c.lruAmong(set, allOwners)
 	}
 	vo, ev, wb := c.install(set, w, tag, owner)
 	if write {

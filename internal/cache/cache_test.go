@@ -32,6 +32,9 @@ func TestConfigValidate(t *testing.T) {
 		{SizeBytes: 4 * 3 * 64, Ways: 4, BlockSize: 64, Owners: 1}, // 3 sets, non-pow2
 		{SizeBytes: 1000, Ways: 4, BlockSize: 64, Owners: 1},       // not divisible
 		{SizeBytes: 1024, Ways: 4, BlockSize: 64, Owners: 0},       // no owners
+		{SizeBytes: 1024, Ways: 4, BlockSize: 64, Owners: 65},      // wider than an owner mask
+		{SizeBytes: 512 * 64, Ways: 512, BlockSize: 64, Owners: 1}, // order bytes overflow
+		{SizeBytes: 2, Ways: 2, BlockSize: 1, Owners: 1},           // tags keep every address bit
 	}
 	for i, c := range cases {
 		if err := c.Validate(); err == nil {
@@ -447,10 +450,11 @@ func TestIndexDistinctBlocksCollide(t *testing.T) {
 func TestFreeWayPicksLowestInvalid(t *testing.T) {
 	cfg := tiny()
 	c := NewLRU(cfg)
-	// naive recomputes the answer from scratch.
+	// naive recomputes the answer from scratch: the lowest way whose
+	// tag is the empty-way sentinel.
 	naive := func(set int) int {
-		for w, ln := range c.sets[set] {
-			if !ln.valid {
+		for w := 0; w < cfg.Ways; w++ {
+			if c.tags[set*cfg.Ways+w] == invalidTag {
 				return w
 			}
 		}

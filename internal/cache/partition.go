@@ -23,8 +23,9 @@ import "fmt"
 // as the hardware would.
 type Partitioned struct {
 	*baseCache
-	target []int16 // target ways per owner
-	class  []Class // QoS class per owner
+	target   []int16 // target ways per owner
+	reserved uint64  // owner mask of ClassReserved owners
+	oppo     uint64  // owner mask of ClassOpportunistic owners
 }
 
 // NewPartitioned builds a per-set way-partitioned cache. Initial targets
@@ -34,7 +35,6 @@ func NewPartitioned(cfg Config) *Partitioned {
 	return &Partitioned{
 		baseCache: newBase(cfg),
 		target:    make([]int16, cfg.Owners),
-		class:     make([]Class, cfg.Owners),
 	}
 }
 
@@ -68,10 +68,28 @@ func (c *Partitioned) UnallocatedWays() int { return c.cfg.Ways - c.targetSum() 
 
 // SetClass sets the QoS class of the job on owner's core, which steers
 // victim selection priority.
-func (c *Partitioned) SetClass(owner int, cl Class) { c.class[owner] = cl }
+func (c *Partitioned) SetClass(owner int, cl Class) {
+	bit := uint64(1) << owner
+	c.reserved &^= bit
+	c.oppo &^= bit
+	switch cl {
+	case ClassReserved:
+		c.reserved |= bit
+	case ClassOpportunistic:
+		c.oppo |= bit
+	}
+}
 
 // ClassOf returns owner's QoS class.
-func (c *Partitioned) ClassOf(owner int) Class { return c.class[owner] }
+func (c *Partitioned) ClassOf(owner int) Class {
+	switch bit := uint64(1) << owner; {
+	case c.reserved&bit != 0:
+		return ClassReserved
+	case c.oppo&bit != 0:
+		return ClassOpportunistic
+	}
+	return ClassNone
+}
 
 // Access performs one read access by owner.
 func (c *Partitioned) Access(owner int, addr Addr) Result {
@@ -107,10 +125,14 @@ func (c *Partitioned) access(owner int, addr Addr, write bool) Result {
 // may not scavenge unallocated ways, since strict partitioning requires a
 // job's performance to reflect its allocation and nothing else — while
 // Opportunistic owners may take any free (unallocated) way.
+//
+// Every rule below is "the LRU valid block whose owner is in some set of
+// owners": each builds that owner mask from per-owner state and walks the
+// set's recency order once (lruAmong).
 func (c *Partitioned) victim(set, owner int) int {
-	occ := c.occupancy[set]
-	under := occ[owner] < c.target[owner]
-	oppo := c.class[owner] == ClassOpportunistic
+	self := uint64(1) << owner
+	under := c.occupancy[set*c.cfg.Owners+owner] < c.target[owner]
+	oppo := c.oppo&self != 0
 	if under || oppo {
 		// Invalid lines displace nobody; take them when entitled to grow.
 		if w := c.freeWay(set); w >= 0 {
@@ -118,44 +140,45 @@ func (c *Partitioned) victim(set, owner int) int {
 		}
 	}
 	if under {
+		over := c.overAllocated(set)
 		// The requester is under target: reclaim from an over-allocated
 		// owner. Reserved-class over-allocated owners first (paper
 		// §4.1, so shrunk reserved partitions converge fast and stolen
 		// capacity flows to Opportunistic jobs), then the LRU block
 		// among Opportunistic owners, then any over-allocated owner,
 		// then global LRU as a last resort.
-		if w := c.lruOverReserved(set); w >= 0 {
+		if w := c.lruAmong(set, over&c.reserved); w >= 0 {
 			return w
 		}
-		if w := c.lruOtherOpportunistic(set, owner); w >= 0 {
+		if w := c.lruAmong(set, c.oppo&^self); w >= 0 {
 			return w
 		}
-		if w := c.lruOverAllocated(set); w >= 0 {
+		if w := c.lruAmong(set, over); w >= 0 {
 			return w
 		}
-		return c.lruWay(set, nil)
+		return c.lruAmong(set, allOwners)
 	}
 	// An Opportunistic requester reclaims over-allocated reserved
 	// owners' blocks before recycling its own: that is how capacity
 	// stolen from Elastic jobs (their targets shrank, leaving them
 	// over-allocated) actually flows to Opportunistic jobs (§4.1).
 	if oppo {
-		if w := c.lruOverReserved(set); w >= 0 {
+		if w := c.lruAmong(set, c.overAllocated(set)&c.reserved); w >= 0 {
 			return w
 		}
 	}
 	// The requester is at or above target: replace within its own blocks.
-	if w := c.lruOwned(set, owner); w >= 0 {
+	if w := c.lruAmong(set, self); w >= 0 {
 		return w
 	}
 	// The requester owns nothing in this set and has no target headroom
 	// (e.g. an Opportunistic core with target 0 sharing the leftover
 	// pool). Take the LRU block among Opportunistic owners if any,
 	// otherwise over-allocated owners, otherwise global LRU.
-	if w := c.lruAnyOpportunistic(set); w >= 0 {
+	if w := c.lruAmong(set, c.oppo); w >= 0 {
 		return w
 	}
-	if w := c.lruOverAllocated(set); w >= 0 {
+	if w := c.lruAmong(set, c.overAllocated(set)); w >= 0 {
 		return w
 	}
 	// Final resorts: an invalid way if the set still has one (only
@@ -164,106 +187,19 @@ func (c *Partitioned) victim(set, owner int) int {
 	if w := c.freeWay(set); w >= 0 {
 		return w
 	}
-	return c.lruWay(set, nil)
+	return c.lruAmong(set, allOwners)
 }
 
-// The specialized LRU scans below are the victim policy's hot loops:
-// each is the lruWay generic with its predicate inlined, because the
-// indirect keep-function call per candidate line dominated the miss
-// path in profiles (every predicate reads only the line's owner).
-
-// lruOwned returns the LRU way among owner's own valid blocks, or -1.
-func (c *Partitioned) lruOwned(set, owner int) int {
-	lines := c.sets[set]
-	o8 := int8(owner)
-	best, bestStamp := -1, uint64(0)
-	for w := range lines {
-		ln := &lines[w]
-		if !ln.valid || ln.owner != o8 {
-			continue
-		}
-		if best == -1 || ln.stamp < bestStamp {
-			best, bestStamp = w, ln.stamp
+// overAllocated returns the mask of owners holding more blocks in set
+// than their target.
+func (c *Partitioned) overAllocated(set int) uint64 {
+	var m uint64
+	for o, n := range c.occupancy[set*c.cfg.Owners : (set+1)*c.cfg.Owners] {
+		if n > c.target[o] {
+			m |= 1 << o
 		}
 	}
-	return best
-}
-
-// lruOverReserved returns the LRU way among blocks of over-allocated
-// reserved-class owners, or -1.
-func (c *Partitioned) lruOverReserved(set int) int {
-	lines := c.sets[set]
-	occ := c.occupancy[set]
-	best, bestStamp := -1, uint64(0)
-	for w := range lines {
-		ln := &lines[w]
-		if !ln.valid || occ[ln.owner] <= c.target[ln.owner] || c.class[ln.owner] != ClassReserved {
-			continue
-		}
-		if best == -1 || ln.stamp < bestStamp {
-			best, bestStamp = w, ln.stamp
-		}
-	}
-	return best
-}
-
-// lruOtherOpportunistic returns the LRU way among Opportunistic-class
-// owners other than the requester, or -1.
-func (c *Partitioned) lruOtherOpportunistic(set, owner int) int {
-	lines := c.sets[set]
-	o8 := int8(owner)
-	best, bestStamp := -1, uint64(0)
-	for w := range lines {
-		ln := &lines[w]
-		if !ln.valid || ln.owner == o8 || c.class[ln.owner] != ClassOpportunistic {
-			continue
-		}
-		if best == -1 || ln.stamp < bestStamp {
-			best, bestStamp = w, ln.stamp
-		}
-	}
-	return best
-}
-
-// lruAnyOpportunistic returns the LRU way among Opportunistic-class
-// owners' blocks, or -1.
-func (c *Partitioned) lruAnyOpportunistic(set int) int {
-	lines := c.sets[set]
-	best, bestStamp := -1, uint64(0)
-	for w := range lines {
-		ln := &lines[w]
-		if !ln.valid || c.class[ln.owner] != ClassOpportunistic {
-			continue
-		}
-		if best == -1 || ln.stamp < bestStamp {
-			best, bestStamp = w, ln.stamp
-		}
-	}
-	return best
-}
-
-// lruOverAllocated returns the LRU way among blocks of any over-allocated
-// owner, or -1.
-func (c *Partitioned) lruOverAllocated(set int) int {
-	lines := c.sets[set]
-	occ := c.occupancy[set]
-	best, bestStamp := -1, uint64(0)
-	for w := range lines {
-		ln := &lines[w]
-		if !ln.valid || occ[ln.owner] <= c.target[ln.owner] {
-			continue
-		}
-		if best == -1 || ln.stamp < bestStamp {
-			best, bestStamp = w, ln.stamp
-		}
-	}
-	return best
-}
-
-// SetOccupancy returns owner's valid-block count within one set; it is
-// exported for tests and the convergence diagnostics.
-func (c *Partitioned) SetOccupancy(set, owner int) int {
-	return int(c.occupancy[set][owner])
+	return m
 }
 
 var _ Interface = (*Partitioned)(nil)
@@ -314,14 +250,18 @@ func (c *Global) Access(owner int, addr Addr) Result {
 		// Victim from a globally over-allocated owner; LRU within the
 		// set among those owners' blocks. Fall back to own blocks, then
 		// global LRU.
-		w = c.lruWay(set, func(ln line) bool {
-			return c.globalOcc[ln.owner] > c.targetBlocks[ln.owner]
-		})
+		var over uint64
+		for o, n := range c.globalOcc {
+			if n > c.targetBlocks[o] {
+				over |= 1 << o
+			}
+		}
+		w = c.lruAmong(set, over)
 		if w < 0 {
-			w = c.lruWay(set, func(ln line) bool { return int(ln.owner) == owner })
+			w = c.lruAmong(set, 1<<owner)
 		}
 		if w < 0 {
-			w = c.lruWay(set, nil)
+			w = c.lruAmong(set, allOwners)
 		}
 	}
 	vo, ev, wb := c.install(set, w, tag, owner)

@@ -1,6 +1,9 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // ShadowTags is the duplicate tag array of paper §4.3 with set sampling:
 // a tag-only replica of the shared cache covering every Nth set, running
@@ -12,8 +15,14 @@ import "fmt"
 // misses in the main tags against cumulative misses here, both restricted
 // to the sampled sets so the comparison is apples-to-apples.
 type ShadowTags struct {
-	shadow   *Partitioned
-	every    int
+	shadow     *Partitioned
+	every      int
+	everyShift uint // log2(every)
+	// tagShift derives the tag from the *main* geometry: the shadow set
+	// index is mainSet/every, and within a shadow set every resident
+	// block comes from the same main set, so the main tag uniquely
+	// identifies a block there.
+	tagShift uint
 	mainMiss []int64 // main-tag misses on sampled sets, per owner
 	mainAcc  []int64 // main-tag accesses on sampled sets, per owner
 }
@@ -32,13 +41,14 @@ func NewShadowTags(cfg Config, every int) *ShadowTags {
 	}
 	shadowCfg := cfg
 	shadowCfg.SizeBytes = cfg.SizeBytes / every
-	st := &ShadowTags{
-		shadow:   NewPartitioned(shadowCfg),
-		every:    every,
-		mainMiss: make([]int64, cfg.Owners),
-		mainAcc:  make([]int64, cfg.Owners),
+	return &ShadowTags{
+		shadow:     NewPartitioned(shadowCfg),
+		every:      every,
+		everyShift: uint(bits.TrailingZeros(uint(every))),
+		tagShift:   uint(bits.TrailingZeros(uint(cfg.BlockSize)) + bits.TrailingZeros(uint(sets))),
+		mainMiss:   make([]int64, cfg.Owners),
+		mainAcc:    make([]int64, cfg.Owners),
 	}
-	return st
 }
 
 // SetTarget fixes owner's target allocation inside the shadow array (the
@@ -53,7 +63,7 @@ func (st *ShadowTags) UnallocatedWays() int { return st.shadow.UnallocatedWays()
 
 // Sampled reports whether a main-cache set index is covered by the
 // shadow array.
-func (st *ShadowTags) Sampled(mainSet int) bool { return mainSet%st.every == 0 }
+func (st *ShadowTags) Sampled(mainSet int) bool { return mainSet&(st.every-1) == 0 }
 
 // SamplingInterval returns the every-Nth-set interval.
 func (st *ShadowTags) SamplingInterval() int { return st.every }
@@ -70,23 +80,7 @@ func (st *ShadowTags) Observe(owner int, addr Addr, main Result) {
 	if !main.Hit {
 		st.mainMiss[owner]++
 	}
-	// The tag is derived from the *main* geometry: the shadow set index
-	// is mainSet/every, and within a shadow set every resident block
-	// comes from the same main set, so the main tag uniquely identifies
-	// a block there.
-	tag := uint64(addr) >> st.shadow.setShift
-	tag >>= uint(trailingZeros(len(st.shadow.sets) * st.every))
-	st.shadow.accessSetTag(owner, main.Set/st.every, tag)
-}
-
-// trailingZeros is a tiny helper for power-of-two ints.
-func trailingZeros(n int) int {
-	z := 0
-	for n > 1 {
-		n >>= 1
-		z++
-	}
-	return z
+	st.shadow.accessSetTag(owner, main.Set>>st.everyShift, uint64(addr)>>st.tagShift)
 }
 
 // MainMisses returns the cumulative main-tag misses by owner on sampled
@@ -132,22 +126,13 @@ func (st *ShadowTags) ResetOwner(owner int) {
 	st.shadow.ResetOwnerStats(owner)
 }
 
-// Reset zeroes both miss streams and the shadow contents; used when a new
-// Elastic job is installed on a core.
+// Reset zeroes both miss streams and the shadow contents, in place,
+// keeping the shadow's targets and classes; used when a new Elastic job
+// is installed on a core.
 func (st *ShadowTags) Reset() {
-	cfg := st.shadow.cfg
-	// Preserve targets/classes across the reset.
-	targets := make([]int16, len(st.shadow.target))
-	copy(targets, st.shadow.target)
-	classes := make([]Class, len(st.shadow.class))
-	copy(classes, st.shadow.class)
-	st.shadow = NewPartitioned(cfg)
-	copy(st.shadow.target, targets)
-	copy(st.shadow.class, classes)
-	for i := range st.mainMiss {
-		st.mainMiss[i] = 0
-		st.mainAcc[i] = 0
-	}
+	st.shadow.clear()
+	clear(st.mainMiss)
+	clear(st.mainAcc)
 }
 
 // accessSetTag is the low-level access path used by ShadowTags, which

@@ -1,6 +1,9 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // StackProfiler is a one-pass Mattson stack-distance miss-curve profiler.
 //
@@ -73,9 +76,9 @@ func NewSampledStackProfiler(cfg Config, every int) *StackProfiler {
 		cfg:        cfg,
 		every:      every,
 		ways:       cfg.Ways,
-		setShift:   uint(trailingZeros(cfg.BlockSize)),
-		everyShift: uint(trailingZeros(every)),
-		tagShift:   uint(trailingZeros(cfg.BlockSize)) + uint(trailingZeros(sets)),
+		setShift:   uint(bits.TrailingZeros(uint(cfg.BlockSize))),
+		everyShift: uint(bits.TrailingZeros(uint(every))),
+		tagShift:   uint(bits.TrailingZeros(uint(cfg.BlockSize))) + uint(bits.TrailingZeros(uint(sets))),
 		setMask:    uint64(sets - 1),
 		stacks:     make([]uint64, sampled*cfg.Ways),
 		depth:      make([]int16, sampled),

@@ -140,9 +140,10 @@ type Server struct {
 	// Virtual clock: cycles = clockBase + elapsed·Hz. maxCycle tracks
 	// the largest cycle ever stamped into an operation, is persisted,
 	// and seeds clockBase on restart so time never runs backwards
-	// across a crash.
+	// across a crash. It is atomic because now() reads it before a
+	// handler takes mu.
 	clockBase int64
-	maxCycle  int64
+	maxCycle  atomic.Int64
 	started   time.Time
 
 	sem      chan struct{}
@@ -232,7 +233,7 @@ func (s *Server) recover() error {
 		}
 		walSeq = env.WALSeq
 		s.clockBase = env.Clock
-		s.maxCycle = env.Clock
+		s.maxCycle.Store(env.Clock)
 	} else if !os.IsNotExist(err) {
 		return err
 	} else {
@@ -327,16 +328,19 @@ func (s *Server) decide(jobID int, rum qos.RUM, mode qos.Mode, arrival int64, ne
 
 // noteCycle advances the persisted clock high-water mark.
 func (s *Server) noteCycle(c int64) {
-	if c > s.maxCycle {
-		s.maxCycle = c
+	for {
+		m := s.maxCycle.Load()
+		if c <= m || s.maxCycle.CompareAndSwap(m, c) {
+			return
+		}
 	}
 }
 
 // now returns the daemon's current virtual time in cycles.
 func (s *Server) now() int64 {
 	c := s.clockBase + int64(time.Since(s.started).Seconds()*s.cfg.ClockHz)
-	if c < s.maxCycle {
-		c = s.maxCycle
+	if m := s.maxCycle.Load(); c < m {
+		c = m
 	}
 	return c
 }
@@ -379,7 +383,7 @@ func (s *Server) encodeStateLocked() ([]byte, error) {
 	env := snapEnvelope{
 		Version: envelopeVersion,
 		WALSeq:  s.seq,
-		Clock:   s.maxCycle,
+		Clock:   s.maxCycle.Load(),
 		Jobs:    s.jobs,
 	}
 	for _, lac := range s.nodes {

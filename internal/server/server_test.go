@@ -477,6 +477,48 @@ func TestConcurrentSubmitCancel(t *testing.T) {
 	}
 }
 
+// TestConcurrentServerStampedArrivals submits from several clients at
+// once with Arrival left at 0, so every request reads the virtual clock
+// (before taking the server lock) while others advance its persisted
+// high-water mark (meaningful under -race).
+func TestConcurrentServerStampedArrivals(t *testing.T) {
+	s, ts := newTestServer(t, testConfig(t.TempDir()))
+	const workers = 8
+	const opsPer = 20
+	var wg sync.WaitGroup
+	for wkr := 0; wkr < workers; wkr++ {
+		wg.Add(1)
+		go func(wkr int) {
+			defer wg.Done()
+			for i := 0; i < opsPer; i++ {
+				req := SubmitRequest{JobID: 20_000 + wkr*1000 + i, Mode: "opportunistic", Cores: 1, Ways: 1}
+				b, _ := json.Marshal(req)
+				hr, err := http.Post(ts.URL+"/v1/submit", "application/json", bytes.NewReader(b))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, hr.Body)
+				hr.Body.Close()
+				if hr.StatusCode != http.StatusOK {
+					t.Errorf("submit %d: status %d", req.JobID, hr.StatusCode)
+				}
+			}
+		}(wkr)
+	}
+	wg.Wait()
+	var env snapEnvelope
+	if err := json.Unmarshal(getBytes(t, ts.URL+"/v1/snapshot"), &env); err != nil {
+		t.Fatal(err)
+	}
+	if env.Clock <= 0 {
+		t.Fatalf("persisted clock = %d, want the largest stamped arrival (> 0)", env.Clock)
+	}
+	if now := s.now(); now < env.Clock {
+		t.Errorf("clock ran backwards: now %d < persisted high-water mark %d", now, env.Clock)
+	}
+}
+
 func TestDrain(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(dir)

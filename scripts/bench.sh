@@ -1,8 +1,8 @@
 #!/bin/sh
 # Runs the hot-path benchmark suite with allocation stats and records
 # the results in BENCH_<date>.json in the repo root. COUNT=N runs each
-# benchmark N times (the JSON then carries one entry per run; compare
-# medians, not single runs — single-run ns/op is noisy).
+# benchmark N times, 5 by default (the JSON then carries one entry per
+# run; compare medians, not single runs — single-run ns/op is noisy).
 #
 # If the day's file already exists, the new results are appended as a
 # "run_<HHMMSS>" section instead of clobbering the curated sections a
@@ -12,9 +12,9 @@ cd "$(dirname "$0")/.."
 
 date="$(date +%F)"
 out="BENCH_${date}.json"
-benches='BenchmarkFig5$|BenchmarkSimTableEngine$|BenchmarkSimTableEngineNoPlanCache$|BenchmarkSimTableEngineNoEventSkip$|BenchmarkSimSteadyState$|BenchmarkSimSteadyStateNoEventSkip$|BenchmarkClusterSteadyFleet$|BenchmarkClusterSteadyFleetNoEventSkip$|BenchmarkExperimentPairRunCacheOn$|BenchmarkExperimentPairRunCacheOff$|BenchmarkCachePartitioned$|BenchmarkShadowTagsObserve$|BenchmarkMissCurveReplay$|BenchmarkMissCurveSinglePass$|BenchmarkMissCurveSinglePassSampled$|BenchmarkTimelineEarliestFit$|BenchmarkTimelineChurn$|BenchmarkTimelineSetCapacity$|BenchmarkTimelineAvailability$|BenchmarkWALAppend$|BenchmarkDaemonSubmit$|BenchmarkClusterDispatch|BenchmarkControllerTick$'
+benches='BenchmarkFig5$|BenchmarkSimTableEngine$|BenchmarkSimTableEngineNoPlanCache$|BenchmarkSimTableEngineNoEventSkip$|BenchmarkSimSteadyState$|BenchmarkSimSteadyStateNoEventSkip$|BenchmarkClusterSteadyFleet$|BenchmarkClusterSteadyFleetNoEventSkip$|BenchmarkExperimentPairRunCacheOn$|BenchmarkExperimentPairRunCacheOff$|BenchmarkStreamNext$|BenchmarkAblationPartitionPair$|BenchmarkCachePartitioned$|BenchmarkCacheGlobalPartition$|BenchmarkVictimPolicy$|BenchmarkShadowTagsObserve$|BenchmarkMissCurveReplay$|BenchmarkMissCurveSinglePass$|BenchmarkMissCurveSinglePassSampled$|BenchmarkTimelineEarliestFit$|BenchmarkTimelineChurn$|BenchmarkTimelineSetCapacity$|BenchmarkTimelineAvailability$|BenchmarkWALAppend$|BenchmarkDaemonSubmit$|BenchmarkClusterDispatch|BenchmarkControllerTick$'
 
-raw="$(go test -run '^$' -bench "$benches" -benchmem -count "${COUNT:-1}" .)"
+raw="$(go test -run '^$' -bench "$benches" -benchmem -count "${COUNT:-5}" .)"
 printf '%s\n' "$raw"
 
 results="$(printf '%s\n' "$raw" | awk '
