@@ -39,15 +39,18 @@ race:
 # invocation, as the go tool requires): the job-file and fault-plan
 # parsers must never crash on arbitrary input, and the indexed Timeline
 # must stay bit-identical to its naive reference on any op sequence,
-# the WAL decoder must recover an intact prefix from any bytes, and
-# every cache model must match its stamp-based reference access by
-# access.
+# the WAL decoder must recover an intact prefix from any bytes, every
+# cache model must match its stamp-based reference access by access,
+# and any small fleet — faults and controllers included — must keep
+# bestfit equal to probe-all, the event calendar equal to lock-step
+# stepping, and its report independent of the worker count.
 fuzz:
 	$(GO) test -fuzz=Fuzz -fuzztime=10s -timeout 5m ./internal/jobfile
 	$(GO) test -fuzz=Fuzz -fuzztime=10s -timeout 5m ./internal/fault
 	$(GO) test -fuzz=FuzzTimelineEquivalence -fuzztime=10s -timeout 5m ./internal/qos
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=10s -timeout 5m ./internal/qos
 	$(GO) test -fuzz=FuzzCacheEquivalence -fuzztime=10s -timeout 5m ./internal/cache
+	$(GO) test -fuzz=FuzzClusterEquivalence -fuzztime=10s -timeout 5m ./internal/sim
 
 # bench runs the hot-path benchmark suite with allocation stats and
 # records the results in BENCH_<date>.json (see scripts/bench.sh).
@@ -55,17 +58,17 @@ bench:
 	scripts/bench.sh
 
 # bench-smoke compiles and runs the timeline admission, cluster
-# dispatch, event-horizon steady-state, controller-tick and per-layer
-# cache benches once each (-benchtime=1x): a CI guard that the O(log n)
-# structures, the fast-forward path, the control plane, the cache model
-# and their benchmarks keep building and running — timings are
-# meaningless here. It also runs
+# dispatch, event-horizon steady-state, faulted-fleet, controller-tick
+# and per-layer cache benches once each (-benchtime=1x): a CI guard that
+# the O(log n) structures, the fast-forward path, the control plane, the
+# cache model and their benchmarks keep building and running — timings
+# are meaningless here. It also runs
 # the two closed-loop gates: the feedback smoke (pid must not break
 # more promises than static under the same storms) and the -ctrl
 # static golden identity (the nil controller reproduces the open-loop
 # pipeline byte for byte).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkTimeline|BenchmarkClusterDispatch|BenchmarkSimSteadyState|BenchmarkClusterSteadyFleet|BenchmarkControllerTick|BenchmarkStreamNext|BenchmarkAblationPartitionPair|BenchmarkCachePartitioned|BenchmarkCacheGlobalPartition|BenchmarkVictimPolicy|BenchmarkShadowTagsObserve' -benchtime=1x -timeout 10m .
+	$(GO) test -run '^$$' -bench 'BenchmarkTimeline|BenchmarkClusterDispatch|BenchmarkSimSteadyState|BenchmarkClusterSteadyFleet|BenchmarkClusterFaultedFleet|BenchmarkControllerTick|BenchmarkStreamNext|BenchmarkAblationPartitionPair|BenchmarkCachePartitioned|BenchmarkCacheGlobalPartition|BenchmarkVictimPolicy|BenchmarkShadowTagsObserve' -benchtime=1x -timeout 10m .
 	$(GO) test -run 'TestFeedbackControllerBeatsStatic' -count=1 ./internal/experiments
 	$(GO) test -run 'TestControllerStaticIdentity' -count=1 ./internal/sim
 	$(GO) test -run 'TestRegistryGolden' -count=1 ./internal/experiments

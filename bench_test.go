@@ -24,6 +24,7 @@ import (
 	"cmpqos/internal/alloc"
 	"cmpqos/internal/cache"
 	"cmpqos/internal/experiments"
+	"cmpqos/internal/fault"
 	"cmpqos/internal/jobfile"
 	"cmpqos/internal/qos"
 	"cmpqos/internal/server"
@@ -589,6 +590,56 @@ func benchSteadyFleet(b *testing.B, disableSkip bool) {
 func BenchmarkClusterSteadyFleet(b *testing.B)            { benchSteadyFleet(b, false) }
 func BenchmarkClusterSteadyFleetNoEventSkip(b *testing.B) { benchSteadyFleet(b, true) }
 
+// BenchmarkClusterFaultedFleet is the steady fleet (1000 Hybrid-2 bzip2
+// nodes, 2000 jobs) with a fault plan on every node, in two shapes:
+// late-spike holds one latency spike scheduled after the run ends, so
+// it must cost what the fault-free fleet costs; storm is the fleet
+// under a generated core/way/latency storm across the whole run. Both
+// report the calendar's skipped fraction and the LAC probes each
+// arrival cost, the two numbers a fault plan used to wreck.
+func BenchmarkClusterFaultedFleet(b *testing.B) {
+	node := sim.DefaultConfig(sim.Hybrid2, workload.Single("bzip2"))
+	base := sim.ClusterConfig{Nodes: 1000, Node: node, AcceptTarget: 2000}
+	cr, err := sim.NewCluster(base)
+	if err != nil {
+		b.Fatal(err)
+	}
+	clean, err := cr.Run()
+	if err != nil {
+		b.Fatal(err)
+	}
+	late := base
+	late.Node.Faults = fault.Plan{Events: []fault.Event{{
+		Kind: fault.LatencySpike, At: 2 * clean.TotalCycles, Duration: node.EpochCycles, Factor: 2,
+	}}}
+	storm := base
+	storm.Node.Faults = fault.Generate(1, 40, fault.DefaultHorizon, node.Cores, node.L2.Ways)
+	for _, shape := range []struct {
+		name string
+		cfg  sim.ClusterConfig
+	}{{"late-spike", late}, {"storm", storm}} {
+		b.Run(shape.name, func(b *testing.B) {
+			skipped, total, probes, arrivals := int64(0), int64(0), int64(0), 0
+			for i := 0; i < b.N; i++ {
+				cr, err := sim.NewCluster(shape.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rep, err := cr.Run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				skipped += rep.EpochsSkipped
+				total += rep.EpochsStepped + rep.EpochsSkipped
+				probes += rep.LACProbes
+				arrivals += rep.Accepted + rep.RejectedProbes
+			}
+			b.ReportMetric(float64(skipped)/float64(total), "skipped-frac")
+			b.ReportMetric(float64(probes)/float64(arrivals), "probes/arrival")
+		})
+	}
+}
+
 // BenchmarkExperimentPairRunCacheOff/On measure the end-to-end win of
 // the cross-experiment run cache on a real repeated workload: Figure 6
 // studies the same policy×bzip2 configurations Figure 5 already ran, so
@@ -673,7 +724,7 @@ func BenchmarkClusterScaling(b *testing.B) {
 }
 
 // BenchmarkClusterDispatch measures the GAC fleet at datacenter node
-// counts: a full streaming run (bestfit dispatch, skip-idle stepping)
+// counts: a full streaming run (bestfit dispatch, calendar stepping)
 // with four jobs per node, reporting wall time per arrival. The
 // per-arrival cost growing far slower than the node count is the
 // O(log N) dispatch property.

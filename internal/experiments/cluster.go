@@ -56,9 +56,9 @@ type ClusterResult struct {
 // Cluster sweeps 1, 2, and 4 nodes with 10 jobs per node (the legacy
 // scaling table), or — when Options.ClusterNodes is set — runs the
 // fleet dispatcher sweep at that node count. The nodes of one cluster
-// advance in lock-step behind a shared GAC, so a single run cannot be
+// share one event loop behind a shared GAC, so a single run cannot be
 // split across configurations; in fleet mode the workers instead shard
-// the per-epoch node stepping inside each run.
+// the stepping of each epoch's due nodes inside each run.
 func Cluster(o Options) (*ClusterResult, error) {
 	if o.ClusterNodes > 0 {
 		return clusterFleet(o)

@@ -70,6 +70,7 @@ func (r *Runner) advanceJob(j *Job, shareCycles, sharers, offset int64) {
 		j.Core = -1
 		j.ctrlBoost = 0 // finished jobs leave the controller's view
 		r.doneN++
+		r.staleBounds++
 		r.planOK = false // a termination frees a core and its ways
 		if r.lac != nil {
 			r.lac.Complete(j.ID, j.Mode, j.Completed)
@@ -90,6 +91,7 @@ func (r *Runner) advanceJob(j *Job, shareCycles, sharers, offset int64) {
 		j.Core = -1
 		j.ctrlBoost = 0
 		r.doneN++
+		r.staleBounds++
 		r.planOK = false // a completion frees a core and its ways
 		if r.lac != nil {
 			r.lac.Complete(j.ID, j.Mode, j.Completed)

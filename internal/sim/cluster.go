@@ -44,12 +44,6 @@ type ClusterConfig struct {
 	// historical probe-all placements exactly at O(log N) probes per
 	// arrival.
 	Dispatcher string
-	// SeedDerivation picks how per-node seeds derive from Node.Seed:
-	// "mix" (the default) runs each node id through the SplitMix64
-	// finalizer, giving statistically independent streams; "legacy" keeps
-	// the historical Seed + 101·i lattice, whose low bits correlate
-	// across nodes.
-	SeedDerivation string
 	// TopK, when positive, sizes the report's worst-nodes digest: the K
 	// nodes with the most deadline violations, without retaining
 	// per-node reports for the whole fleet.
@@ -64,11 +58,10 @@ func (c ClusterConfig) dispatcherName() string {
 	return "bestfit"
 }
 
-// nodeSeed derives node i's seed from the shared base seed.
+// nodeSeed derives node i's seed from the shared base seed: the node id
+// runs through the SplitMix64 finalizer, giving statistically
+// independent per-node streams.
 func (c ClusterConfig) nodeSeed(i int) int64 {
-	if c.SeedDerivation == "legacy" {
-		return c.Node.Seed + int64(i)*101
-	}
 	return int64(mix64(uint64(c.Node.Seed) + uint64(i)))
 }
 
@@ -92,11 +85,6 @@ func (c ClusterConfig) Validate() error {
 	}
 	if _, ok := dispatchers[c.dispatcherName()]; !ok {
 		return fmt.Errorf("sim: unknown dispatcher %q (have %v)", c.dispatcherName(), DispatcherNames())
-	}
-	switch c.SeedDerivation {
-	case "", "mix", "legacy":
-	default:
-		return fmt.Errorf("sim: unknown seed derivation %q (have [legacy mix])", c.SeedDerivation)
 	}
 	if c.TopK < 0 {
 		return fmt.Errorf("sim: negative worst-nodes digest size")
@@ -130,10 +118,15 @@ type ClusterReport struct {
 	CPUCycles       int64   // Σ retired cycles across the fleet
 	Utilization     float64 // CPUCycles / (Nodes · Cores · TotalCycles)
 	LACProbes       int64
+	// IndexFallback names why an indexed dispatcher fell back to
+	// exhaustive probing: "autodown" or "admission=<policy>" (placement
+	// via LatestFit is not monotone under admissions). It is empty when
+	// the dispatch index ran, and for the probeall dispatcher, which
+	// never uses one.
+	IndexFallback string
 	// EpochsStepped/EpochsSkipped sum the per-node engine counters: how
 	// many node-epochs executed individually vs. fast-forwarded in
-	// closed form (DESIGN §11). Idle epochs skipped by the calendar
-	// never touch a node and appear in neither counter.
+	// closed form (DESIGN §11), idle fast-forwards included.
 	EpochsStepped int64
 	EpochsSkipped int64
 	// CtrlRetunes sums the per-node feedback-controller ticks (zero for
@@ -142,15 +135,17 @@ type ClusterReport struct {
 	WorstNodes  []NodeDigest
 }
 
-// ClusterRunner simulates the GAC-fronted multi-node environment. The
-// dispatch loop and the index bookkeeping run strictly serially; only
-// the per-epoch node stepping fans out across workers (each node owns
-// all of its mutable state), and completions are observed serially in
-// ascending node order after the step barrier — so the run is
-// bit-identical at any worker count. Nodes with no live jobs leave the
-// active set entirely and fast-forward their idle epochs in O(1) when
-// the next job lands on them, which is what lets a 5,000-node fleet
-// run at the cost of its busy nodes.
+// ClusterRunner simulates the GAC-fronted multi-node environment on
+// one event-driven loop (DESIGN §10–11). The dispatch loop and the
+// index bookkeeping run strictly serially; only the stepping of due
+// nodes fans out across workers (each node owns all of its mutable
+// state), and their results are observed serially in ascending node
+// order after the step barrier — so the run is bit-identical at any
+// worker count. A node executes an epoch only when something can
+// happen on it: an arrival lands there, its proven steady horizon
+// expires, or a fault point of its plan falls due. Everything else
+// sleeps in a per-node calendar, which is what lets a 5,000-node fleet
+// run at the cost of its events.
 type ClusterRunner struct {
 	cfg      ClusterConfig
 	nodes    []*Runner
@@ -163,28 +158,27 @@ type ClusterRunner struct {
 
 	disp Dispatcher
 	idx  *dispatchIndex // nil unless an indexed dispatcher asked for it
+	// fallback names why the index is unsound for this configuration
+	// ("" when it is sound); see indexFallback.
+	fallback string
 
-	// Skip-idle bookkeeping. Fault plans disable it: fault events must
-	// apply at their configured cycles even on idle nodes.
-	skipIdle bool
-	active   []int32 // node ids with live jobs, ascending
-	inActive []bool
-	lastFin  []int // finished-job count last observed per node
+	live      []bool  // node has unfinished jobs
+	nLive     int     // live nodes; the run ends when none remain
+	lastStale []int64 // Runner.staleBounds last observed per node
 
-	// Event-horizon calendar (DESIGN §11): when the nodes can
-	// fast-forward (skipIdle and the node config's skipOK gate), active
-	// nodes that proved their next epochs steady sleep in a min-heap
-	// keyed by the absolute cycle their horizon expires, and an epoch
-	// touches only the nodes that are due — woken by an arrival or by
-	// horizon expiry. A sleeping node's clock lags the cluster's; it
-	// catches up (bit-identically, via the same closed form it proved)
-	// before anything observes or mutates it.
-	eventMode bool
-	cal       *nodeHeap // sleeping active nodes, key {horizonEnd, id, 0}
-	due       []int32   // nodes that must execute the current epoch
-	inDue     []bool
-	dueDirty  bool    // due gained out-of-order entries since last sort
-	horizons  []int64 // per-due-slot horizon scratch, reused every epoch
+	// Event-horizon calendar (DESIGN §11): nodes that need no epoch
+	// before some future cycle sleep in a min-heap keyed by that
+	// absolute cycle — a live node until its proven steady horizon
+	// expires, an idle one until its next fault point — and an epoch
+	// touches only the nodes that are due. A sleeping node's clock lags
+	// the cluster's; it catches up (bit-identically, via the same closed
+	// form it proved, or the idle fast-forward) before anything observes
+	// or mutates it.
+	cal      *nodeHeap // sleeping nodes, key {wakeAt, id, 0}
+	due      []int32   // nodes that must execute the current epoch
+	inDue    []bool
+	dueDirty bool    // due gained out-of-order entries since last sort
+	horizons []int64 // per-due-slot horizon scratch, reused every epoch
 }
 
 // NewCluster builds the cluster runner.
@@ -193,11 +187,14 @@ func NewCluster(cfg ClusterConfig) (*ClusterRunner, error) {
 		return nil, err
 	}
 	cr := &ClusterRunner{
-		cfg:      cfg,
-		dlmix:    workload.NewDeadlineStream(cfg.Node.Seed),
-		skipIdle: cfg.Node.Faults.Empty(),
-		inActive: make([]bool, cfg.Nodes),
-		lastFin:  make([]int, cfg.Nodes),
+		cfg:       cfg,
+		dlmix:     workload.NewDeadlineStream(cfg.Node.Seed),
+		fallback:  indexFallback(cfg.Node),
+		live:      make([]bool, cfg.Nodes),
+		lastStale: make([]int64, cfg.Nodes),
+		cal:       newNodeHeap(cfg.Nodes),
+		inDue:     make([]bool, cfg.Nodes),
+		horizons:  make([]int64, cfg.Nodes),
 	}
 	cr.nodes = make([]*Runner, 0, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
@@ -214,6 +211,11 @@ func NewCluster(cfg ClusterConfig) (*ClusterRunner, error) {
 		}
 		n.external = true
 		cr.nodes = append(cr.nodes, n)
+		// An idle node with a fault plan still owes its fault points:
+		// it sleeps until the first one.
+		if at := n.nextHorizon(); at >= 0 {
+			cr.cal.fix(i, nodeKey{at, int64(i), 0})
+		}
 	}
 	// The shared arrival process scales with the node count, as the
 	// paper's 4×128-per-tw pressure scales with its server size. The
@@ -224,11 +226,6 @@ func NewCluster(cfg ClusterConfig) (*ClusterRunner, error) {
 		cfg.Node.ProbesPerTw*float64(cfg.Nodes), ref)
 	cr.nextArr = cr.arrivals.Next()
 	cr.disp = dispatchers[cfg.dispatcherName()](cr)
-	if cr.eventMode = cr.skipIdle && cr.nodes[0].skipOK; cr.eventMode {
-		cr.cal = newNodeHeap(cfg.Nodes)
-		cr.inDue = make([]bool, cfg.Nodes)
-		cr.horizons = make([]int64, cfg.Nodes)
-	}
 	return cr, nil
 }
 
@@ -237,40 +234,16 @@ func (cr *ClusterRunner) Run() (*ClusterReport, error) {
 	return cr.RunParallel(context.Background(), 1)
 }
 
-// RunParallel executes the cluster to completion, stepping active nodes
-// on up to `workers` goroutines per epoch. Results are bit-identical
-// for any worker count.
+// RunParallel executes the cluster to completion, stepping due nodes on
+// up to `workers` goroutines per epoch. Every epoch it executes touches
+// at least one due node or arrival; between events the cluster clock
+// jumps straight to the earliest sleeping node or the next arrival's
+// epoch. A node popped after sleeping replays its slept epochs through
+// the same closed form it proved before sleeping (or the idle
+// fast-forward), so the run is bit-identical to stepping every node
+// every epoch, at any worker count.
 func (cr *ClusterRunner) RunParallel(ctx context.Context, workers int) (*ClusterReport, error) {
 	pool := parallel.New(workers)
-	if cr.eventMode {
-		return cr.runEvents(ctx, pool)
-	}
-	for !cr.done() {
-		if cr.now > cr.cfg.Node.MaxCycles {
-			return nil, fmt.Errorf("sim: cluster exceeded safety horizon with %d/%d accepted",
-				cr.accepted, cr.cfg.AcceptTarget)
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		epochEnd := cr.now + cr.cfg.Node.EpochCycles
-		cr.placeArrivals(epochEnd)
-		if err := cr.stepEpoch(ctx, pool); err != nil {
-			return nil, err
-		}
-		cr.observeCompletions()
-		cr.now = epochEnd
-	}
-	return cr.report(), nil
-}
-
-// runEvents is the event-horizon main loop (DESIGN §11). Every epoch it
-// executes touches at least one due node or arrival; between events the
-// cluster clock jumps straight to the earliest sleeping horizon or the
-// next arrival's epoch. A node popped after sleeping replays its slept
-// epochs through the same closed form it proved before sleeping, so the
-// run is bit-identical to the epoch-by-epoch loop at any worker count.
-func (cr *ClusterRunner) runEvents(ctx context.Context, pool *parallel.Pool) (*ClusterReport, error) {
 	E := cr.cfg.Node.EpochCycles
 	for !cr.done() {
 		if cr.now > cr.cfg.Node.MaxCycles {
@@ -282,7 +255,7 @@ func (cr *ClusterRunner) runEvents(ctx context.Context, pool *parallel.Pool) (*C
 		}
 		epochEnd := cr.now + E
 		cr.placeArrivals(epochEnd)
-		// Pop every sleeper whose horizon expires at this epoch.
+		// Pop every sleeper due at this epoch.
 		for {
 			id, key, ok := cr.cal.top()
 			if !ok || key[0] > cr.now {
@@ -305,32 +278,36 @@ func (cr *ClusterRunner) runEvents(ctx context.Context, pool *parallel.Pool) (*C
 		}); err != nil {
 			return nil, err
 		}
-		// Serial completion observation in ascending id order — the same
-		// subsequence the epoch-by-epoch scan would produce, since
-		// non-due nodes cannot complete jobs while sleeping — then
-		// re-arm each node: one due again at the very next epoch carries
-		// over in the (still sorted) due list, bypassing the calendar —
-		// event-dense fleets would otherwise pay two O(log N) heap moves
-		// per node per epoch for nothing — while a node with a further
-		// horizon goes to sleep in the calendar.
+		// Serial observation in ascending id order — the same subsequence
+		// an all-nodes scan would produce, since sleeping nodes cannot
+		// finish jobs or fire faults — then re-arm each node: one due
+		// again at the very next epoch carries over in the (still sorted)
+		// due list, bypassing the calendar — event-dense fleets would
+		// otherwise pay two O(log N) heap moves per node per epoch for
+		// nothing — a node with a further horizon sleeps in the calendar,
+		// and an idle node with no fault point left drops out until an
+		// arrival wakes it.
 		kept := cr.due[:0]
 		for i, id := range due {
 			n := cr.nodes[id]
-			if fin := n.finishedCount(); fin > cr.lastFin[id] {
-				cr.lastFin[id] = fin
+			if s := n.staleBounds; s != cr.lastStale[id] {
+				cr.lastStale[id] = s
 				if cr.idx != nil {
-					cr.idx.noteFinished(int(id))
+					cr.idx.resetBounds(int(id))
 				}
 			}
-			switch {
-			case n.idle():
+			if cr.live[id] && n.idle() {
+				cr.live[id] = false
+				cr.nLive--
+			}
+			switch h := horizons[i]; {
+			case h < 0:
 				cr.inDue[id] = false
-				cr.inActive[id] = false
-			case horizons[i] <= epochEnd:
+			case h <= epochEnd:
 				kept = append(kept, id)
 			default:
 				cr.inDue[id] = false
-				cr.cal.fix(int(id), nodeKey{horizons[i], int64(id), 0})
+				cr.cal.fix(int(id), nodeKey{h, int64(id), 0})
 			}
 		}
 		cr.due = kept
@@ -339,8 +316,8 @@ func (cr *ClusterRunner) runEvents(ctx context.Context, pool *parallel.Pool) (*C
 			continue // carried-over nodes are due at this very epoch
 		}
 		// Jump to the next instant anything can happen: the earliest
-		// sleeping horizon, or the epoch holding the next arrival while
-		// arrivals still count toward the target.
+		// sleeper, or the epoch holding the next arrival while arrivals
+		// still count toward the target.
 		next := int64(-1)
 		if _, key, ok := cr.cal.top(); ok {
 			next = key[0]
@@ -367,22 +344,12 @@ func (cr *ClusterRunner) markDue(id int) {
 	cr.dueDirty = true
 }
 
+// done reports whether the run is over: the accept target is met and no
+// node has unfinished jobs. Idle nodes still sleeping on fault points
+// do not count — a fault scheduled after the last job never extends the
+// run.
 func (cr *ClusterRunner) done() bool {
-	if cr.accepted < cr.cfg.AcceptTarget {
-		return false
-	}
-	if cr.eventMode {
-		return cr.cal.len() == 0 && len(cr.due) == 0
-	}
-	if cr.skipIdle {
-		return len(cr.active) == 0
-	}
-	for _, n := range cr.nodes {
-		if !n.idle() {
-			return false
-		}
-	}
-	return true
+	return cr.accepted >= cr.cfg.AcceptTarget && cr.nLive == 0
 }
 
 // placeArrivals runs the GAC loop for every arrival inside the epoch:
@@ -427,85 +394,18 @@ func (cr *ClusterRunner) placeArrivals(epochEnd int64) {
 	}
 }
 
-// wake brings an idle node back into the active set, fast-forwarding
-// its clock through the epochs it slept. In event mode it also rouses
-// calendar sleepers: the submission that follows reads and mutates
-// admission state at the cluster clock, so the node replays its slept
-// epochs first and executes the current epoch with everyone else.
+// wake makes a node current before a submission reads and mutates its
+// admission state at the cluster clock: a sleeper leaves the calendar,
+// the node replays the epochs it slept, and it executes the current
+// epoch with everyone else.
 func (cr *ClusterRunner) wake(id int) {
-	if cr.eventMode {
-		if !cr.inActive[id] {
-			cr.nodes[id].fastForwardIdle(cr.now)
-			cr.inActive[id] = true
-		} else if cr.cal.contains(id) {
-			cr.cal.remove(id)
-			cr.nodes[id].catchUp(cr.now)
-		}
-		cr.markDue(id)
-		return
+	cr.cal.remove(id)
+	cr.nodes[id].catchUp(cr.now)
+	if !cr.live[id] {
+		cr.live[id] = true
+		cr.nLive++
 	}
-	if !cr.skipIdle || cr.inActive[id] {
-		return
-	}
-	cr.nodes[id].fastForwardIdle(cr.now)
-	cr.inActive[id] = true
-	pos := sort.Search(len(cr.active), func(i int) bool { return cr.active[i] >= int32(id) })
-	cr.active = append(cr.active, 0)
-	copy(cr.active[pos+1:], cr.active[pos:])
-	cr.active[pos] = int32(id)
-}
-
-// stepEpoch advances every active node one epoch, fanning out across
-// workers. Nodes share no mutable state, so the fan-out is safe; the
-// parallel.Map barrier restores the serial epoch structure.
-func (cr *ClusterRunner) stepEpoch(ctx context.Context, pool *parallel.Pool) error {
-	if cr.skipIdle {
-		_, err := parallel.Map(ctx, pool, len(cr.active), func(i int) (struct{}, error) {
-			cr.nodes[cr.active[i]].step()
-			return struct{}{}, nil
-		})
-		return err
-	}
-	_, err := parallel.Map(ctx, pool, len(cr.nodes), func(i int) (struct{}, error) {
-		cr.nodes[i].step()
-		return struct{}{}, nil
-	})
-	return err
-}
-
-// observeCompletions scans the active nodes in ascending id order after
-// the step barrier, feeding observed completions into the dispatch
-// index and retiring nodes that went idle from the active set. The
-// serial ascending order is what keeps the index — and therefore every
-// subsequent placement — independent of the worker count.
-func (cr *ClusterRunner) observeCompletions() {
-	if cr.skipIdle {
-		kept := cr.active[:0]
-		for _, id := range cr.active {
-			n := cr.nodes[id]
-			if fin := n.finishedCount(); fin > cr.lastFin[id] {
-				cr.lastFin[id] = fin
-				if cr.idx != nil {
-					cr.idx.noteFinished(int(id))
-				}
-			}
-			if n.idle() {
-				cr.inActive[id] = false
-			} else {
-				kept = append(kept, id)
-			}
-		}
-		cr.active = kept
-		return
-	}
-	for id, n := range cr.nodes {
-		if fin := n.finishedCount(); fin > cr.lastFin[id] {
-			cr.lastFin[id] = fin
-			if cr.idx != nil {
-				cr.idx.noteFinished(id)
-			}
-		}
-	}
+	cr.markDue(id)
 }
 
 // report folds the per-node streaming reports into the fleet report,
@@ -516,6 +416,9 @@ func (cr *ClusterRunner) report() *ClusterReport {
 		Dispatcher:     cr.disp.Name(),
 		Accepted:       cr.accepted,
 		RejectedProbes: cr.rejected,
+	}
+	if cr.idx != nil {
+		rep.IndexFallback = cr.fallback
 	}
 	hits, den := 0, 0
 	var digests []NodeDigest

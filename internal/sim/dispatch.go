@@ -9,14 +9,17 @@
 // The index rests on two facts about FCFS earliest-fit placement:
 // admitting a reservation can only push a node's earliest feasible
 // start later (so a previously measured start stays a valid *lower
-// bound* under admissions), and only completions/truncations pull it
-// earlier (so bounds are reset when the cluster observes a node finish
-// jobs). A probe that fails teaches the node's true unconstrained
-// earliest start (one extra uncharged peek with the deadline lifted),
-// so a saturated fleet rejects later arrivals in O(1) instead of
-// re-probing every node as soon as the deadline cutoff advances;
-// opportunistic arrivals get the same treatment through a bound pool
-// fed by LAC.EarliestOpportunistic. Bounds are kept per distinct
+// bound* under admissions), and only a handful of node events pull it
+// earlier — a job finishing or being terminated, a core or way fault
+// transition, an elastic way shed, an admission-headroom drop — each of
+// which bumps the node's staleBounds counter, so the cluster resets the
+// node's bounds when it observes the counter move. A probe that fails
+// teaches the node's true unconstrained earliest start (one extra
+// uncharged peek with the deadline lifted), so a saturated fleet
+// rejects later arrivals in O(1) instead of re-probing every node as
+// soon as the deadline cutoff advances; opportunistic arrivals get the
+// same treatment through a bound pool fed by LAC.EarliestOpportunistic.
+// Bounds are kept per distinct
 // reservation duration — a handful, one per (template, mode) pair —
 // each as two heaps: nodes whose bound has been reached by the arrival
 // clock (ordered by live load, the tie-break) and nodes whose bound is
@@ -114,19 +117,26 @@ func (cr *ClusterRunner) arrivalShape(a Arrival) (mode qos.Mode, dur, cutoff int
 	return mode, dur, cutoff
 }
 
-// indexable reports whether the lazy lower-bound index is sound for
-// this cluster: automatic downgrade and the "latest" admission policy
-// place via LatestFit (not monotone under admissions), fault plans
-// evict reservations mid-epoch (which pulls starts earlier without a
-// completion to observe), and a feedback controller retunes admission
-// headroom (dropping it pulls starts earlier the same way), so all
-// four fall back to exhaustive probing.
-func (cr *ClusterRunner) indexable() bool {
-	return cr.cfg.Node.Policy != AllStrictAutoDown &&
-		cr.cfg.Node.admissionName() == "fcfs" &&
-		cr.cfg.Node.Faults.Empty() &&
-		cr.cfg.Node.controllerName() == "static"
+// indexFallback names why the lazy lower-bound index is unsound for a
+// node configuration, or returns "" when it is sound. Automatic
+// downgrade and the non-default admission policies place via LatestFit,
+// which is not monotone under admissions — an admission can pull a
+// later arrival's start earlier — so both fall back to exhaustive
+// probing. Fault plans and feedback controllers need no fallback: their
+// start-pulling events mark the node's bounds stale like a completion.
+func indexFallback(node Config) string {
+	switch {
+	case node.Policy == AllStrictAutoDown:
+		return "autodown"
+	case node.admissionName() != "fcfs":
+		return "admission=" + node.admissionName()
+	}
+	return ""
 }
+
+// indexable reports whether the lazy lower-bound index is sound for
+// this cluster.
+func (cr *ClusterRunner) indexable() bool { return cr.fallback == "" }
 
 // --- probeall: the historical GAC loop ---------------------------------
 
@@ -263,27 +273,22 @@ func (d *localityDispatch) Place(a Arrival) Placement {
 // indexed dispatchers. loadH orders every node by (live load, id);
 // durs holds one lazy lower-bound structure per distinct reservation
 // duration. The cluster runner feeds it every admission and every
-// observed completion, strictly serially, so its state is deterministic
-// regardless of how node stepping is sharded.
+// observed stale-bounds signal, strictly serially, so its state is
+// deterministic regardless of how node stepping is sharded.
 type dispatchIndex struct {
-	cr    *ClusterRunner
-	loadH *nodeHeap
-	durs  map[int64]*durIndex
-	opp   *durIndex // opportunistic feasibility bounds (dur 0)
-	// oppSound is whether the opportunistic bounds are trustworthy:
-	// fault plans evict reservations early, which frees cores without a
-	// completion to observe, so faulted clusters fall back to the
-	// exhaustive load-order scan.
-	oppSound bool
-	popped   []int32 // search scratch, reused across arrivals
+	cr     *ClusterRunner
+	loadH  *nodeHeap
+	durs   map[int64]*durIndex
+	opp    *durIndex // opportunistic feasibility bounds (dur 0)
+	popped []int32   // search scratch, reused across arrivals
 }
 
 // durIndex tracks, for one reservation duration, a lower bound per node
 // on the earliest feasible start. Nodes whose bound the arrival clock
 // has reached sit in avail keyed (load, id) — their optimistic start is
 // "now", so only the tie-break orders them; the rest sit in future
-// keyed (bound, load, id). Bound 0 means unknown (reset by a
-// completion); arrival times never decrease, so nodes migrate from
+// keyed (bound, load, id). Bound 0 means unknown (reset when the node's
+// bounds go stale); arrival times never decrease, so nodes migrate from
 // future to avail monotonically between resets.
 type durIndex struct {
 	dur    int64
@@ -298,10 +303,9 @@ func (cr *ClusterRunner) ensureIndex() {
 	}
 	n := len(cr.nodes)
 	x := &dispatchIndex{
-		cr:       cr,
-		loadH:    newNodeHeap(n),
-		durs:     map[int64]*durIndex{},
-		oppSound: cr.cfg.Node.Faults.Empty(),
+		cr:    cr,
+		loadH: newNodeHeap(n),
+		durs:  map[int64]*durIndex{},
 	}
 	for i := 0; i < n; i++ {
 		x.loadH.fix(i, nodeKey{0, int64(i), 0})
@@ -391,12 +395,15 @@ func (x *dispatchIndex) noteAdmit(id int) {
 	x.opp.rekey(id, load)
 }
 
-// noteFinished resets node id after observed completions: its live
-// load shrank, its timeline freed capacity, and any opportunistic
-// finisher lowered the pin cap's demand, so every bound it had learned
-// is stale. The node returns to every avail pool with an unknown
-// (zero) bound.
-func (x *dispatchIndex) noteFinished(id int) {
+// resetBounds resets node id after the cluster observed its staleBounds
+// counter move: a finisher shrank its live load, freed timeline
+// capacity and perhaps lowered the pin cap's demand; a fault transition
+// re-ran admission over a new capacity; a shed or a headroom drop left
+// more room for probes. Any of these can pull a start earlier, so every
+// bound the node had learned, reserved and opportunistic alike, is
+// stale. The node returns to every avail pool with an unknown (zero)
+// bound.
+func (x *dispatchIndex) resetBounds(id int) {
 	load := x.loadOf(id)
 	x.loadH.fix(id, nodeKey{load, int64(id), 0})
 	for _, di := range x.durs {
@@ -500,9 +507,6 @@ func (x *dispatchIndex) earliestBound(a Arrival, mode qos.Mode, cutoff int64, id
 // clock reaches it — without that, a fully core-booked fleet re-scans
 // all N nodes for every opportunistic arrival.
 func (x *dispatchIndex) placeOpp(a Arrival, mode qos.Mode) int {
-	if !x.oppSound {
-		return x.placeOppScan(a, mode)
-	}
 	cr := x.cr
 	di := x.opp
 	di.migrate(a.TA, x)
@@ -522,30 +526,6 @@ func (x *dispatchIndex) placeOpp(a Arrival, mode qos.Mode) int {
 	}
 	for _, id := range popped {
 		di.settle(int(id), a.TA, x)
-	}
-	x.popped = popped[:0]
-	return best
-}
-
-// placeOppScan is the exhaustive load-order scan, kept for clusters
-// whose opportunistic bounds cannot be trusted (active fault plans).
-func (x *dispatchIndex) placeOppScan(a Arrival, mode qos.Mode) int {
-	cr := x.cr
-	best := -1
-	popped := x.popped[:0]
-	for {
-		id, _, ok := x.loadH.pop()
-		if !ok {
-			break
-		}
-		popped = append(popped, int32(id))
-		if _, feasible := cr.nodes[id].peekTemplateMode(a.Tmpl, a.DL, a.TA, mode); feasible {
-			best = id
-			break
-		}
-	}
-	for _, id := range popped {
-		x.loadH.fix(int(id), nodeKey{x.loadOf(int(id)), int64(id), 0})
 	}
 	x.popped = popped[:0]
 	return best

@@ -48,24 +48,30 @@ func runRecorded(t *testing.T, cfg ClusterConfig, dispatcher string) (*ClusterRe
 // probe-all loop's placement sequence decision for decision.
 func TestBestfitMatchesProbeall(t *testing.T) {
 	cases := []struct {
-		name string
-		cfg  ClusterConfig
+		name     string
+		cfg      ClusterConfig
+		fallback string // bestfit's expected IndexFallback
 	}{
-		{"hybrid2-single", clusterCfg(4, 40)},
+		{"hybrid2-single", clusterCfg(4, 40), ""},
 		{"hybrid2-mix", ClusterConfig{
 			Nodes: 3, Node: fastConfig(Hybrid2, workload.Mix1()), AcceptTarget: 24,
-		}},
+		}, ""},
 		{"hybrid1", ClusterConfig{
 			Nodes: 4, Node: fastConfig(Hybrid1, workload.Single("bzip2")), AcceptTarget: 40,
-		}},
+		}, ""},
 		{"allstrict", ClusterConfig{
 			Nodes: 4, Node: fastConfig(AllStrict, workload.Single("mcf")), AcceptTarget: 32,
-		}},
+		}, ""},
 		// AutoDown places via LatestFit, where the index is unsound;
 		// bestfit must detect that and fall back to exhaustive probing.
 		{"autodown-fallback", ClusterConfig{
 			Nodes: 3, Node: fastConfig(AllStrictAutoDown, workload.Single("bzip2")), AcceptTarget: 24,
-		}},
+		}, "autodown"},
+		// Faults and controllers pull starts earlier mid-run; the index
+		// stays exact by resetting a node's bounds when they do.
+		{"fault-storm", stormClusterCfg(4, 40), ""},
+		{"pid", ctrlClusterCfg("pid", 4, 40), ""},
+		{"aimd", ctrlClusterCfg("aimd", 4, 40), ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -79,7 +85,11 @@ func TestBestfitMatchesProbeall(t *testing.T) {
 				}
 				t.Fatalf("placement logs differ in length: %d vs %d", len(logA), len(logB))
 			}
+			if repB.IndexFallback != tc.fallback {
+				t.Errorf("bestfit IndexFallback = %q, want %q", repB.IndexFallback, tc.fallback)
+			}
 			repA.Dispatcher, repB.Dispatcher = "", ""
+			repA.IndexFallback, repB.IndexFallback = "", ""
 			repA.LACProbes, repB.LACProbes = 0, 0 // charged vs uncharged probing
 			if !reflect.DeepEqual(repA, repB) {
 				t.Errorf("reports diverged:\nprobeall %+v\nbestfit  %+v", repA, repB)
@@ -90,34 +100,45 @@ func TestBestfitMatchesProbeall(t *testing.T) {
 
 // TestClusterWorkerCountInvariance pins the sharded-stepping
 // determinism contract: every dispatcher must produce an identical
-// report at any worker count.
+// report at any worker count, on a quiet fleet (subtests named by
+// dispatcher), under a fault storm and with a pid controller.
 func TestClusterWorkerCountInvariance(t *testing.T) {
-	for _, name := range DispatcherNames() {
-		t.Run(name, func(t *testing.T) {
-			cfg := ClusterConfig{
-				Nodes:        6,
-				Node:         fastConfig(Hybrid2, workload.Single("bzip2")),
-				AcceptTarget: 48,
-				Dispatcher:   name,
-				TopK:         3,
-			}
-			var base *ClusterReport
-			for _, workers := range []int{1, 4, 8} {
-				cr, err := NewCluster(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rep, err := cr.RunParallel(context.Background(), workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if base == nil {
-					base = rep
-				} else if !reflect.DeepEqual(base, rep) {
-					t.Fatalf("workers=%d report diverged:\nbase %+v\ngot  %+v", workers, base, rep)
-				}
-			}
-		})
+	for _, sc := range []struct {
+		prefix string
+		cfg    ClusterConfig
+	}{
+		{"", clusterCfg(6, 48)},
+		{"fault-storm/", stormClusterCfg(6, 48)},
+		{"pid/", ctrlClusterCfg("pid", 6, 48)},
+	} {
+		for _, name := range DispatcherNames() {
+			cfg := sc.cfg
+			cfg.Dispatcher = name
+			cfg.TopK = 3
+			t.Run(sc.prefix+name, func(t *testing.T) { checkWorkerInvariance(t, cfg) })
+		}
+	}
+}
+
+// checkWorkerInvariance runs cfg at 1, 4 and 8 workers and requires
+// identical reports.
+func checkWorkerInvariance(t *testing.T, cfg ClusterConfig) {
+	t.Helper()
+	var base *ClusterReport
+	for _, workers := range []int{1, 4, 8} {
+		cr, err := NewCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := cr.RunParallel(context.Background(), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if base == nil {
+			base = rep
+		} else if !reflect.DeepEqual(base, rep) {
+			t.Fatalf("workers=%d report diverged:\nbase %+v\ngot  %+v", workers, base, rep)
+		}
 	}
 }
 
@@ -183,18 +204,6 @@ func TestClusterValidationModern(t *testing.T) {
 		t.Error("unknown dispatcher accepted")
 	}
 
-	seed := base
-	seed.SeedDerivation = "nope"
-	if err := seed.Validate(); err == nil {
-		t.Error("unknown seed derivation accepted")
-	}
-	for _, d := range []string{"", "mix", "legacy"} {
-		seed.SeedDerivation = d
-		if err := seed.Validate(); err != nil {
-			t.Errorf("seed derivation %q rejected: %v", d, err)
-		}
-	}
-
 	topk := base
 	topk.TopK = -1
 	if err := topk.Validate(); err == nil {
@@ -205,15 +214,8 @@ func TestClusterValidationModern(t *testing.T) {
 func TestNodeSeedDerivation(t *testing.T) {
 	cfg := clusterCfg(4, 10)
 	cfg.Node.Seed = 1
-	// Legacy seeds form the historical arithmetic lattice.
-	cfg.SeedDerivation = "legacy"
-	for i := 0; i < 4; i++ {
-		if got := cfg.nodeSeed(i); got != 1+int64(i)*101 {
-			t.Errorf("legacy seed %d = %d, want %d", i, got, 1+int64(i)*101)
-		}
-	}
-	// Mixed seeds must be distinct and not form that lattice.
-	cfg.SeedDerivation = "mix"
+	// Per-node seeds must be distinct and must not form an arithmetic
+	// lattice (seed + 101·i), whose low bits correlate across nodes.
 	seen := map[int64]bool{}
 	lattice := 0
 	for i := 0; i < 64; i++ {
@@ -228,38 +230,6 @@ func TestNodeSeedDerivation(t *testing.T) {
 	}
 	if lattice > 1 {
 		t.Errorf("%d consecutive mixed seeds differ by 101 — not mixed", lattice)
-	}
-}
-
-func TestClusterSkipIdleMatchesLockStep(t *testing.T) {
-	// Skip-idle fast-forwarding is an optimization, not a semantic: a
-	// fleet with a (never-firing) fault plan steps every node every
-	// epoch, and must produce the same aggregates as the skip-idle run.
-	cfg := clusterCfg(4, 32)
-	crFast, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !crFast.skipIdle {
-		t.Fatal("fault-free cluster should skip idle nodes")
-	}
-	fast, err := crFast.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	slow := cfg
-	slowCr, err := NewCluster(slow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slowCr.skipIdle = false
-	lock, err := slowCr.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fast, lock) {
-		t.Errorf("skip-idle diverged from lock-step:\nfast %+v\nlock %+v", fast, lock)
 	}
 }
 

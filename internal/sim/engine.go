@@ -42,6 +42,14 @@ type Runner struct {
 	nextArr   int64
 	submitIdx int
 
+	// staleBounds counts the events that may have pulled this node's
+	// earliest feasible start earlier: a job finished or was
+	// terminated, a core or way fault transition refit the timeline, an
+	// elastic job shed ways, or the admission headroom dropped. The
+	// cluster diffs it after every step to reset the node's dispatch
+	// index bounds (DESIGN §10); it is monotone and nothing else reads it.
+	staleBounds int64
+
 	twByBench map[string]int64
 	profByKey map[string]workload.Profile // resolved template profiles
 	twInstr   int64                       // instruction count the tw table was computed at
@@ -399,18 +407,16 @@ func (r *Runner) compact() {
 // liveCount returns the number of accepted jobs not yet finished.
 func (r *Runner) liveCount() int { return len(r.accepted) - r.doneN }
 
-// finishedCount returns how many accepted jobs have finished over the
-// whole run — monotone even across compaction, which is what the
-// cluster layer's completion observer diffs against.
-func (r *Runner) finishedCount() int { return r.acceptedN - r.liveCount() }
-
 // fastForwardIdle advances an idle node to cycle `to` in one step: k
 // skipped epochs contribute k empty-node fragmentation deltas and one
 // rolled-up bus window (zero misses yield zero utilization for any
 // window length, so one Roll(k·epoch) is exactly k Roll(epoch) calls).
-// The cluster layer calls this for nodes it stopped stepping; it is
-// only sound with no fault plan, no telemetry series, and no attached
-// sinks — the cluster's Validate enforces all three.
+// The cluster layer calls this for nodes it stopped stepping. It is
+// only sound when no fault point falls inside the skipped epochs (the
+// cluster wakes idle nodes at their fault points, see nextHorizon), no
+// telemetry series is recorded (the cluster's Validate rejects
+// RecordSeries), and no sinks are attached (cluster nodes are private
+// to the ClusterRunner).
 func (r *Runner) fastForwardIdle(to int64) {
 	k := (to - r.now) / r.cfg.EpochCycles
 	if k <= 0 {

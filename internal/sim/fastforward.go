@@ -584,12 +584,17 @@ func (r *Runner) applySteady(k int64) {
 	r.nSkipped += k
 }
 
-// catchUp replays a cluster node from its own clock to the cluster's,
-// preferring closed-form windows and falling back to stepping an epoch
-// whenever steadyWindow cannot prove the next one steady. Either path
-// is the exact legacy epoch sequence, so a node that slept on a stale
-// horizon still replays bit-identically.
+// catchUp replays a cluster node from its own clock to the cluster's.
+// An idle node fast-forwards in O(1) (the cluster never lets it sleep
+// past a fault point). A live one prefers closed-form windows and falls
+// back to stepping an epoch whenever steadyWindow cannot prove the next
+// one steady. Either path is the exact epoch sequence, so a node that
+// slept on a stale horizon still replays bit-identically.
 func (r *Runner) catchUp(to int64) {
+	if r.idle() {
+		r.fastForwardIdle(to)
+		return
+	}
 	for r.now < to {
 		need := (to - r.now) / r.cfg.EpochCycles
 		if need > ffChunkEpochs {
@@ -604,7 +609,17 @@ func (r *Runner) catchUp(to int64) {
 }
 
 // nextHorizon returns the absolute cycle at which this node next needs
-// to execute an epoch — the cluster calendar key after a step.
+// to execute an epoch — the cluster calendar key after a step. A live
+// node's horizon is its proven steady window (capped at its next fault
+// point); an idle node's is the epoch holding its next fault point, or
+// -1 when it has none left and only an arrival can wake it.
 func (r *Runner) nextHorizon() int64 {
+	if r.idle() {
+		if r.faultPos == len(r.faultPts) {
+			return -1
+		}
+		at := r.faultPts[r.faultPos].at
+		return at - at%r.cfg.EpochCycles
+	}
 	return r.now + r.steadyWindow(ffChunkEpochs)*r.cfg.EpochCycles
 }

@@ -171,26 +171,16 @@ func clusterSkipCfg(disableSkip bool) ClusterConfig {
 	}
 }
 
-// TestClusterEventModeByteIdentity verifies the calendar layer: the
-// event-horizon fleet loop must produce a ClusterReport identical to the
-// epoch-by-epoch loop (skip counters aside) at any worker count.
+// TestClusterEventModeByteIdentity verifies the calendar layer: with
+// event skip on, the fleet must produce a ClusterReport identical (skip
+// counters aside) to the same fleet with event skip off, where every
+// live node steps every epoch, at any worker count.
 func TestClusterEventModeByteIdentity(t *testing.T) {
-	normalize := func(rep *ClusterReport) *ClusterReport {
-		cp := *rep
-		cp.EpochsStepped, cp.EpochsSkipped = 0, 0
-		return &cp
-	}
 	run := func(disableSkip bool, workers int) *ClusterReport {
 		t.Helper()
 		cr, err := NewCluster(clusterSkipCfg(disableSkip))
 		if err != nil {
 			t.Fatal(err)
-		}
-		if disableSkip && cr.eventMode {
-			t.Fatal("eventMode held with DisableEventSkip set")
-		}
-		if !disableSkip && !cr.eventMode {
-			t.Fatal("fleet scenario did not enter event mode")
 		}
 		rep, err := cr.RunParallel(context.Background(), workers)
 		if err != nil {
@@ -201,7 +191,7 @@ func TestClusterEventModeByteIdentity(t *testing.T) {
 	baseline := run(true, 1)
 	onW1 := run(false, 1)
 	onW4 := run(false, 4)
-	if !reflect.DeepEqual(normalize(onW1), normalize(baseline)) {
+	if !reflect.DeepEqual(withoutEpochCounters(onW1), withoutEpochCounters(baseline)) {
 		t.Errorf("event-mode fleet (workers=1) differs from epoch-by-epoch:\non:  %+v\noff: %+v",
 			onW1, baseline)
 	}
@@ -217,18 +207,30 @@ func TestClusterEventModeByteIdentity(t *testing.T) {
 	}
 }
 
-// TestClusterFaultPlanDisablesEventMode pins the fallback: fault plans
-// must keep the legacy all-nodes stepping (fault events apply at their
-// configured cycles even on idle nodes).
-func TestClusterFaultPlanDisablesEventMode(t *testing.T) {
+// TestClusterFaultedFleetSkipsAndIndexes pins that a fault plan no
+// longer forces the slow paths: a faulted fleet still fast-forwards
+// node epochs on the calendar, and bestfit still answers arrivals from
+// its index, probing fewer than N nodes per arrival on average.
+func TestClusterFaultedFleetSkipsAndIndexes(t *testing.T) {
 	cfg := clusterSkipCfg(false)
-	cfg.Node.Faults = fault.Generate(1, 4, fault.DefaultHorizon, 4, 16)
+	cfg.Node.Faults = fault.Generate(1, 4, fault.DefaultHorizon, cfg.Node.Cores, cfg.Node.L2.Ways)
 	cr, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cr.eventMode {
-		t.Fatal("event mode engaged under a fault plan")
+	rep, err := cr.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.IndexFallback != "" {
+		t.Errorf("faulted bestfit fleet fell back to probing: %q", rep.IndexFallback)
+	}
+	if rep.EpochsSkipped == 0 {
+		t.Error("faulted fleet never fast-forwarded a node epoch")
+	}
+	arrivals := int64(rep.Accepted + rep.RejectedProbes)
+	if perArrival := float64(rep.LACProbes) / float64(arrivals); perArrival >= float64(cfg.Nodes) {
+		t.Errorf("faulted fleet probed %.1f nodes per arrival, want < %d", perArrival, cfg.Nodes)
 	}
 }
 

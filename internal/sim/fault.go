@@ -85,7 +85,10 @@ func (s FaultStats) Faulted() bool {
 // applyFaults fires every fault transition scheduled before epochEnd.
 // It runs at the top of the epoch, before arrivals, so admission and
 // the epoch plan see the post-fault capacity; every transition is a QoS
-// event and invalidates the cached plan.
+// event and invalidates the cached plan. A core or way transition also
+// re-runs the LAC over a new capacity — a regrow frees room, and a
+// shrink's evictions may land later or terminate — so it marks the
+// node's dispatch bounds stale; a latency spike leaves admission alone.
 func (r *Runner) applyFaults(epochEnd int64) {
 	for r.faultPos < len(r.faultPts) && r.faultPts[r.faultPos].at < epochEnd {
 		pt := r.faultPts[r.faultPos]
@@ -94,6 +97,9 @@ func (r *Runner) applyFaults(epochEnd int64) {
 			r.recoverFault(pt.ev)
 		} else {
 			r.injectFault(pt.ev)
+		}
+		if pt.ev.Kind != fault.LatencySpike {
+			r.staleBounds++
 		}
 		r.planOK = false
 	}
@@ -305,6 +311,7 @@ func (r *Runner) violate(j *Job) {
 	j.Core = -1
 	j.ctrlBoost = 0
 	r.doneN++
+	r.staleBounds++
 	r.lac.Complete(j.ID, j.Mode, r.now)
 	if r.fold != nil {
 		// Stream the outcome like every other finished job: without this
@@ -348,6 +355,7 @@ func (r *Runner) shedElastic() {
 		r.lac.ShrinkReservation(pick.ReservationID,
 			qos.ResourceVector{Cores: 1, CacheWays: pick.WaysReserved})
 		r.fstats.WaysShed++
+		r.staleBounds++
 		r.planWaysDirty = true
 		r.emit(trace.Event{Cycle: r.now, JobID: pick.ID, Kind: trace.StealWay,
 			Detail: int64(pick.Stealer.Ways())})

@@ -205,9 +205,14 @@ type ctrlGrant struct {
 }
 
 // SetAdmissionHeadroom forwards a controller's headroom retune to the
-// node's LAC (no-op for admissionless policies).
+// node's LAC (no-op for admissionless policies). A drop lets probes
+// start earlier, so it marks the node's dispatch bounds stale; a raise
+// only pushes starts later and keeps them.
 func (r *Runner) SetAdmissionHeadroom(ways int) {
 	if r.lac != nil {
+		if ways < r.lac.Headroom() {
+			r.staleBounds++
+		}
 		r.lac.SetHeadroom(ways)
 	}
 }

@@ -12,7 +12,7 @@ cd "$(dirname "$0")/.."
 
 date="$(date +%F)"
 out="BENCH_${date}.json"
-benches='BenchmarkFig5$|BenchmarkSimTableEngine$|BenchmarkSimTableEngineNoPlanCache$|BenchmarkSimTableEngineNoEventSkip$|BenchmarkSimSteadyState$|BenchmarkSimSteadyStateNoEventSkip$|BenchmarkClusterSteadyFleet$|BenchmarkClusterSteadyFleetNoEventSkip$|BenchmarkExperimentPairRunCacheOn$|BenchmarkExperimentPairRunCacheOff$|BenchmarkStreamNext$|BenchmarkAblationPartitionPair$|BenchmarkCachePartitioned$|BenchmarkCacheGlobalPartition$|BenchmarkVictimPolicy$|BenchmarkShadowTagsObserve$|BenchmarkMissCurveReplay$|BenchmarkMissCurveSinglePass$|BenchmarkMissCurveSinglePassSampled$|BenchmarkTimelineEarliestFit$|BenchmarkTimelineChurn$|BenchmarkTimelineSetCapacity$|BenchmarkTimelineAvailability$|BenchmarkWALAppend$|BenchmarkDaemonSubmit$|BenchmarkClusterDispatch|BenchmarkControllerTick$'
+benches='BenchmarkFig5$|BenchmarkSimTableEngine$|BenchmarkSimTableEngineNoPlanCache$|BenchmarkSimTableEngineNoEventSkip$|BenchmarkSimSteadyState$|BenchmarkSimSteadyStateNoEventSkip$|BenchmarkClusterSteadyFleet$|BenchmarkClusterSteadyFleetNoEventSkip$|BenchmarkClusterFaultedFleet|BenchmarkExperimentPairRunCacheOn$|BenchmarkExperimentPairRunCacheOff$|BenchmarkStreamNext$|BenchmarkAblationPartitionPair$|BenchmarkCachePartitioned$|BenchmarkCacheGlobalPartition$|BenchmarkVictimPolicy$|BenchmarkShadowTagsObserve$|BenchmarkMissCurveReplay$|BenchmarkMissCurveSinglePass$|BenchmarkMissCurveSinglePassSampled$|BenchmarkTimelineEarliestFit$|BenchmarkTimelineChurn$|BenchmarkTimelineSetCapacity$|BenchmarkTimelineAvailability$|BenchmarkWALAppend$|BenchmarkDaemonSubmit$|BenchmarkClusterDispatch|BenchmarkControllerTick$'
 
 raw="$(go test -run '^$' -bench "$benches" -benchmem -count "${COUNT:-5}" .)"
 printf '%s\n' "$raw"
